@@ -9,7 +9,7 @@
 //! the host cost the replay would have had on a machine running the
 //! calibration slice in [`CALIB_REF_NS`].
 
-use crate::stats::thread_cpu_ns;
+use crate::stats::{median, thread_cpu_ns};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
@@ -77,6 +77,22 @@ pub fn tick() {
         s.last_slice = Instant::now();
         s.slice_wall_ns += (s.last_slice - w0).as_nanos() as u64;
     });
+}
+
+/// Machine slowdown against the reference, measured now: the median of
+/// three calibration slices' on-CPU time over [`CALIB_REF_NS`], or `1`
+/// where on-CPU time cannot be read.
+pub fn slowdown_now() -> f64 {
+    STATE.with(|cell| {
+        let mut s = cell.borrow_mut();
+        let mut ns = Vec::with_capacity(3);
+        for _ in 0..3 {
+            let Some(c0) = thread_cpu_ns() else { return 1.0 };
+            slice(&mut s);
+            ns.push(thread_cpu_ns().map_or(0, |c1| c1 - c0) as f64);
+        }
+        median(&ns) / CALIB_REF_NS
+    })
 }
 
 /// Wall time this thread has spent in calibration slices, ns; subtracted

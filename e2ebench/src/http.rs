@@ -8,7 +8,7 @@
 //! of the same requests through the public serve, model and runtime calls.
 
 use crate::model::{computed_cost, AttributedNet, SublayerNs, SUBLAYER_METRICS};
-use crate::stats::{mean, Accounting};
+use crate::stats::{mean, process_cpu_ns, Accounting};
 use crate::trace::Tracer;
 use crate::{Args, E2e, Layers, Outcome};
 use pgmoe_model::net::{RouteDecision, SwitchNet};
@@ -229,9 +229,18 @@ fn drain_chunks(buf: &mut Vec<u8>, ex: &mut Exchange) -> io::Result<bool> {
     }
 }
 
+/// Wall and process on-CPU seconds of one load phase.
+#[derive(Clone, Copy)]
+struct PhaseTime {
+    wall: f64,
+    cpu: f64,
+}
+
 /// Closed loop: `clients` connections send seeded requests back to back
 /// until `seconds` have passed, then finish what they started.
-/// Client spans are recorded when `trace` is set.
+/// Client spans are recorded when `trace` is set. The phase's on-CPU time
+/// covers every thread of the process: server IO workers, the engine
+/// thread and the clients; where it cannot be read, wall time stands in.
 fn run_load(
     addr: SocketAddr,
     seed: u64,
@@ -240,7 +249,8 @@ fn run_load(
     clients: usize,
     seconds: f64,
     trace: Option<Instant>,
-) -> (Vec<Exchange>, f64, Option<Tracer>) {
+) -> (Vec<Exchange>, PhaseTime, Option<Tracer>) {
+    let cpu0 = process_cpu_ns();
     let start = Instant::now();
     let stop = start + Duration::from_secs_f64(seconds);
     let per_client: Vec<(Vec<Exchange>, Option<Tracer>)> = std::thread::scope(|s| {
@@ -273,6 +283,10 @@ fn run_load(
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
     });
     let wall = start.elapsed().as_secs_f64();
+    let cpu = match (cpu0, process_cpu_ns()) {
+        (Some(a), Some(b)) => (b - a) as f64 / 1e9,
+        _ => wall,
+    };
     let mut all = Vec::new();
     let mut spans = trace.map(Tracer::new);
     for (ex, tr) in per_client {
@@ -282,7 +296,7 @@ fn run_load(
         }
     }
     all.sort_by_key(|e| e.index);
-    (all, wall, spans)
+    (all, PhaseTime { wall, cpu }, spans)
 }
 
 fn argmax(row: &[f32]) -> usize {
@@ -364,7 +378,7 @@ pub fn verify(
 }
 
 /// Client-side end-to-end numbers over a set of exchanges.
-fn client_e2e(exchanges: &[Exchange], wall: f64, peak_hbm_mb: f64) -> (E2e, Vec<f64>) {
+fn client_e2e(exchanges: &[Exchange], time: PhaseTime, peak_hbm_mb: f64) -> (E2e, Vec<f64>) {
     let ms = |us: u32| f64::from(us) / 1e3;
     let mut e = E2e::default();
     let mut itl = Vec::new();
@@ -378,8 +392,8 @@ fn client_e2e(exchanges: &[Exchange], wall: f64, peak_hbm_mb: f64) -> (E2e, Vec<
         itl.extend(ex.token_us.windows(2).map(|w| ms(w[1] - w[0])));
         tokens += ex.tokens.len();
     }
-    e.tok_s = tokens as f64 / wall;
-    e.host_us_per_token = wall * 1e6 / tokens.max(1) as f64;
+    e.tok_s = tokens as f64 / time.wall;
+    e.host_us_per_token = time.cpu * 1e6 / tokens.max(1) as f64;
     e.peak_hbm_mb = peak_hbm_mb;
     (e, itl)
 }
@@ -456,12 +470,12 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     let mut out = Outcome { setup_s, ..Outcome::default() };
 
     if !args.trace {
-        let (exchanges, wall, _) =
+        let (exchanges, time, _) =
             run_load(handle.addr(), args.seed, vocab, &next, clients, args.seconds, None);
         let hbm = peak_hbm_mb(&handle);
         let served = handle.shutdown().ok_or("engine thread panicked")?;
         let bad = verify(&exchanges, &engine, args.doctor, clients);
-        let (e2e, itl) = client_e2e(&exchanges, wall, hbm);
+        let (e2e, itl) = client_e2e(&exchanges, time, hbm);
         out.acct = accounting(&exchanges, &bad);
         out.acct.print("http_decode", "timed");
         report_bad(&bad);
@@ -478,19 +492,19 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 
     // Traced run: untraced live third, traced live third, replay third.
     let third = args.seconds / 3.0;
-    let (plain, plain_wall, _) =
+    let (plain, plain_time, _) =
         run_load(handle.addr(), args.seed, vocab, &next, clients, third, None);
     let before = counters(&handle);
     let origin = Instant::now();
-    let (traced, traced_wall, spans) =
+    let (traced, traced_time, spans) =
         run_load(handle.addr(), args.seed, vocab, &next, clients, third, Some(origin));
     let after = counters(&handle);
     let hbm = peak_hbm_mb(&handle);
     handle.shutdown().ok_or("engine thread panicked")?;
     let mut tracer = spans.expect("traced load records spans");
 
-    let (e_plain, _) = client_e2e(&plain, plain_wall, hbm);
-    let (e_traced, _) = client_e2e(&traced, traced_wall, hbm);
+    let (e_plain, _) = client_e2e(&plain, plain_time, hbm);
+    let (e_traced, _) = client_e2e(&traced, traced_time, hbm);
     let l = &mut out.layers;
     let engine_ttft_ms = (after.ttft_sum - before.ttft_sum).as_secs_f64() * 1e3
         / (after.ttft_count - before.ttft_count).max(1) as f64;

@@ -152,7 +152,9 @@ pub struct E2e {
     pub tpot_ms: Vec<f64>,
     /// Tokens per second in the workload's clock (wall or simulated).
     pub tok_s: f64,
-    /// Host wall microseconds per delivered token.
+    /// Host on-CPU microseconds per delivered token: the whole process's on
+    /// `http_decode`, the replaying thread's, calibrated (see
+    /// [`calib`]), on the simulator workloads.
     pub host_us_per_token: f64,
     /// Peak simulated HBM, MB.
     pub peak_hbm_mb: f64,
@@ -197,19 +199,30 @@ pub fn load_threads() -> usize {
 }
 
 /// Set-up repetitions per run; the median is reported.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 7;
 
 /// Runs `setup` [`SETUP_REPS`] times and keeps the last result; returns it
-/// with the median set-up time in seconds.
+/// with the median set-up time in seconds. Each set-up's wall time is
+/// divided by the machine slowdown measured just before and after it (see
+/// [`calib`]): on a shared machine the speed can switch by 2x between runs,
+/// which a median within one run does not remove.
 pub fn setup_median<T>(mut setup: impl FnMut() -> Result<T, String>) -> Result<(T, f64), String> {
-    let mut times = Vec::with_capacity(SETUP_REPS);
+    let (mut wall, mut times) = (Vec::new(), Vec::new());
     let mut kept = None;
     for _ in 0..SETUP_REPS {
         drop(kept.take());
+        let before = calib::slowdown_now();
         let t0 = Instant::now();
         kept = Some(setup()?);
-        times.push(t0.elapsed().as_secs_f64());
+        let t = t0.elapsed().as_secs_f64();
+        let slowdown = (before + calib::slowdown_now()) / 2.0;
+        wall.push(t);
+        times.push(t / slowdown);
     }
+    let show = |v: &[f64]| v.iter().map(|t| format!("{t:.6}")).collect::<Vec<_>>().join(" ");
+    println!("set-up wall times s: {}", show(&wall));
+    println!("set-up calibrated times s: {}", show(&times));
+    println!("set-up wall median s: {:.6}", stats::median(&wall));
     Ok((kept.expect("at least one set-up"), stats::median(&times)))
 }
 
@@ -277,7 +290,7 @@ fn run(args: &Args) -> Result<(Outcome, Vec<Metric>), String> {
         "fleet_chaos" => sim::run_fleet(args)?,
         other => unreachable!("workload {other} validated at parse time"),
     };
-    println!("metric setup_s = {:.6} s (median of {SETUP_REPS} set-ups)", out.setup_s);
+    println!("metric setup_s = {:.6} s (median of {SETUP_REPS} calibrated set-ups)", out.setup_s);
     let metrics = if args.trace {
         if let Some(spans) = &out.spans {
             let path = trace_path(args);

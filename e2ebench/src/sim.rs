@@ -30,33 +30,54 @@ fn hbm_capacity() -> u64 {
     MachineConfig::a100_like().hbm_capacity
 }
 
-/// Replays `set` until `seconds` pass (at least once). Returns the first
-/// replay's result, the calibrated host µs per simulated token of each
-/// replay (see [`crate::calib`]), the calibration ratios, and whether every
-/// replay matched the first.
-fn replay_until<T: PartialEq>(
-    seconds: f64,
-    mut set: impl FnMut() -> Result<(T, usize), String>,
-) -> Result<(T, Vec<f64>, Vec<f64>, bool), String> {
-    let stop = Instant::now() + Duration::from_secs_f64(seconds);
-    let mut first: Option<T> = None;
-    let (mut host, mut ratios) = (Vec::new(), Vec::new());
-    let mut same = true;
-    loop {
-        let mark = calib::mark();
-        let (result, tokens) = set()?;
-        let (us, ratio) = calib::since(mark, tokens);
-        host.push(us);
-        ratios.push(ratio);
-        match &first {
-            None => first = Some(result),
-            Some(f) => same &= *f == result,
-        }
-        if Instant::now() >= stop {
-            break;
-        }
+/// Replays of one input set: the first one's result, the calibrated host
+/// µs per simulated token of each (see [`crate::calib`]) with its
+/// calibration ratio, the wall time spent outside calibration slices, and
+/// whether every replay matched the first.
+struct Replays<T> {
+    first: Option<T>,
+    host_us: Vec<f64>,
+    ratios: Vec<f64>,
+    wall_ns: f64,
+    same: bool,
+}
+
+impl<T: PartialEq> Replays<T> {
+    fn new() -> Self {
+        Replays { first: None, host_us: Vec::new(), ratios: Vec::new(), wall_ns: 0.0, same: true }
     }
-    Ok((first.expect("at least one replay"), host, ratios, same))
+
+    fn push(&mut self, replay: impl FnOnce() -> Result<(T, usize), String>) -> Result<(), String> {
+        let mark = calib::mark();
+        let (wall0, slices0) = (Instant::now(), calib::slice_wall_ns());
+        let (result, tokens) = replay()?;
+        let (us, ratio) = calib::since(mark, tokens);
+        let slices = calib::slice_wall_ns() - slices0;
+        self.wall_ns += (wall0.elapsed().as_nanos() as u64).saturating_sub(slices) as f64;
+        self.host_us.push(us);
+        self.ratios.push(ratio);
+        match &self.first {
+            None => self.first = Some(result),
+            Some(f) => self.same &= *f == result,
+        }
+        Ok(())
+    }
+
+    /// Prints the replays' calibrated host cost, and next to it the plain
+    /// on-CPU figure and the measured machine slowdown behind the scaling.
+    fn report(&self, phase: &str) {
+        let h = &self.host_us;
+        let (lo, hi) = h.iter().fold((f64::MAX, 0.0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let raw: Vec<f64> = h.iter().zip(&self.ratios).map(|(us, r)| us * r).collect();
+        println!(
+            "replays {phase}: {}; calibrated host us/token min {lo:.4} median {:.4} max {hi:.4}; \
+             uncalibrated on-CPU us/token median {:.4}; machine slowdown vs reference median {:.4}",
+            h.len(),
+            median(h),
+            median(&raw),
+            median(&self.ratios)
+        );
+    }
 }
 
 fn sim_accounting(sent: usize, succeeded: usize) -> Accounting {
@@ -68,9 +89,9 @@ fn sim_accounting(sent: usize, succeeded: usize) -> Accounting {
     }
 }
 
-/// Shared tail of the three workloads: timed phase, or untraced + traced
-/// halves with the overhead between them. `wall_traced_ns` leaves out the
-/// calibration slices.
+/// Shared tail of the three workloads: the timed phase, or untraced and
+/// traced replays taken in turn, so that a change of machine speed during
+/// the run weighs on both sides of the tracing overhead alike.
 struct Phases<T> {
     first: T,
     host_us: f64,
@@ -84,49 +105,42 @@ fn phases<T: PartialEq>(
     tracer: &mut Option<Tracer>,
     mut set: impl FnMut(Option<&mut Tracer>) -> Result<(T, usize), String>,
 ) -> Result<Phases<T>, String> {
+    let stop = Instant::now() + Duration::from_secs_f64(args.seconds);
     if !args.trace {
-        let (first, host, ratios, identical) = replay_until(args.seconds, || set(None))?;
-        report_replays("timed", &host, &ratios);
+        let mut timed = Replays::new();
+        while timed.host_us.is_empty() || Instant::now() < stop {
+            timed.push(|| set(None))?;
+        }
+        timed.report("timed");
         return Ok(Phases {
-            first,
-            host_us: median(&host),
-            identical,
+            host_us: median(&timed.host_us),
+            identical: timed.same,
+            first: timed.first.expect("at least one replay"),
             overhead: None,
             wall_traced_ns: 0.0,
         });
     }
-    let half = args.seconds / 2.0;
-    let (first, plain, plain_ratios, same_a) = replay_until(half, || set(None))?;
-    report_replays("untraced", &plain, &plain_ratios);
-    let (origin, calib_ns) = (Instant::now(), calib::slice_wall_ns());
-    *tracer = Some(Tracer::new(origin));
-    let tr = tracer.as_mut().expect("tracer set above");
-    let (traced_first, traced, traced_ratios, same_b) = replay_until(half, || set(Some(&mut *tr)))?;
-    let wall_traced_ns =
-        (origin.elapsed().as_nanos() as u64 - (calib::slice_wall_ns() - calib_ns)) as f64;
-    report_replays("traced", &traced, &traced_ratios);
-    let identical = same_a && same_b && traced_first == first;
+    let tr = tracer.insert(Tracer::new(Instant::now()));
+    let (mut plain, mut traced) = (Replays::new(), Replays::new());
+    while plain.host_us.is_empty() || Instant::now() < stop {
+        plain.push(|| set(None))?;
+        traced.push(|| set(Some(&mut *tr)))?;
+    }
+    plain.report("untraced");
+    traced.report("traced");
+    let (first, traced_first) = (plain.first.expect("a replay"), traced.first.expect("a replay"));
+    let identical = plain.same && traced.same && traced_first == first;
     println!(
         "check simulated stats identical across every replay, untraced and traced: {identical}"
     );
+    let traced_us = median(&traced.host_us);
     Ok(Phases {
         first,
-        host_us: median(&traced),
+        host_us: traced_us,
         identical,
-        overhead: Some(median(&traced) / median(&plain) - 1.0),
-        wall_traced_ns,
+        overhead: Some(traced_us / median(&plain.host_us) - 1.0),
+        wall_traced_ns: traced.wall_ns,
     })
-}
-
-fn report_replays(phase: &str, host: &[f64], ratios: &[f64]) {
-    let (lo, hi) = host.iter().fold((f64::MAX, 0.0f64), |(lo, hi), &h| (lo.min(h), hi.max(h)));
-    println!(
-        "replays {phase}: {}; calibrated host us/token min {lo:.4} median {:.4} max {hi:.4}; \
-         machine slowdown vs reference median {:.4}",
-        host.len(),
-        median(host),
-        median(ratios)
-    );
 }
 
 fn print_aliases(e: &E2e) {
@@ -180,9 +194,18 @@ struct B1Set {
     tokens_ok: usize,
 }
 
-/// Runs every request of a b1 input set. A request passes when it delivered
-/// its requested tokens plus `extra` (non-zero only for a doctored
-/// reference) and stayed within the HBM budget.
+/// Whether a b1 run delivered `req`'s tokens plus `extra` (non-zero only
+/// for a doctored reference) and stayed within the HBM budget. Delivered
+/// tokens are counted from the report's per-block latencies: each decoded
+/// token runs every decoder MoE block once.
+fn b1_ok(r: &RunReport, req: &DecodeRequest, extra: usize) -> bool {
+    let blocks = ModelConfig::switch_base(64).decoder_moe_layers();
+    r.block_latencies.len() == (req.output_tokens + extra) * blocks
+        && r.peak_hbm_bytes <= hbm_capacity()
+}
+
+/// Runs every request of a b1 input set; see [`b1_ok`] for when a request
+/// passes.
 fn b1_set(
     inputs: &[(u64, DecodeRequest)],
     mut tr: Option<&mut Tracer>,
@@ -197,10 +220,7 @@ fn b1_set(
             Some(t) => t.time("runtime.run", 0, i as u64 + 1, || b1_run(route_seed, req))?,
             None => b1_run(route_seed, req)?,
         };
-        let delivered = (r.tokens_per_sec * r.total_time.as_secs_f64()).round() as usize;
-        tokens_ok += usize::from(
-            delivered == req.output_tokens + extra && r.peak_hbm_bytes <= hbm_capacity(),
-        );
+        tokens_ok += usize::from(b1_ok(&r, &req, extra));
         tokens += req.output_tokens;
         reports.push([
             r.time_to_first_token.as_nanos(),
@@ -627,6 +647,7 @@ struct FleetKey {
     queueing: Vec<u64>,
     assignment: Vec<usize>,
     total_tokens: usize,
+    delivered: usize,
     tokens_per_sec_bits: u64,
     peak_hbm: u64,
     fetch: u64,
@@ -647,6 +668,7 @@ fn fleet_key(s: &FleetStats) -> FleetKey {
         queueing: nanos(&s.queueing_delays),
         assignment: s.assignment.clone(),
         total_tokens: s.total_tokens,
+        delivered: fleet_delivered(s),
         tokens_per_sec_bits: s.tokens_per_sec.to_bits(),
         peak_hbm: s.peak_hbm_bytes,
         fetch: s.expert_fetch_bytes,
@@ -661,22 +683,31 @@ fn fleet_key(s: &FleetStats) -> FleetKey {
     }
 }
 
-/// The fleet's output checks: no request lost across the kill, every
-/// requested token (plus `extra`, non-zero only for a doctored reference)
-/// delivered, exactly one fault injected, HBM within budget.
+/// Tokens the replicas emitted, less those of requests the kill aborted
+/// (which are served again elsewhere). `FleetStats::total_tokens` is the
+/// requested count, so it cannot show a lost token; the replicas' own
+/// counters can.
+fn fleet_delivered(s: &FleetStats) -> usize {
+    let emitted: usize = s.replicas.iter().map(|r| r.total_tokens).sum();
+    emitted - s.control.as_ref().map_or(0, |c| c.dropped_tokens)
+}
+
+/// The fleet's output checks: every requested token (plus `extra`, non-zero
+/// only for a doctored reference) delivered, so no request was lost across
+/// the kill; exactly one fault injected; HBM within budget.
 fn fleet_ok(k: &FleetKey, arrivals: &[ArrivedRequest], extra: usize) -> bool {
     let expected: usize = arrivals.iter().map(|a| a.request.output_tokens).sum::<usize>() + extra;
-    let served = k.latencies.len();
-    let lost = arrivals.len().saturating_sub(served);
     let hbm_ok = k.peak_hbm <= hbm_capacity();
     println!(
-        "check fleet: served {served}/{} (lost {lost}), tokens {} of {expected} expected, \
-         faults injected {}, peak HBM within budget {hbm_ok}",
+        "check fleet: {} requests, tokens delivered {} of {expected} expected \
+         ({} dropped by the kill and served again), faults injected {}, \
+         peak HBM within budget {hbm_ok}",
         arrivals.len(),
-        k.total_tokens,
+        k.delivered,
+        k.control.2,
         k.control.0
     );
-    lost == 0 && k.total_tokens == expected && k.control.0 == 1 && hbm_ok
+    k.delivered == expected && k.control.0 == 1 && hbm_ok
 }
 
 /// `fleet_chaos`: `ControlledFleet`, 3 replicas x batch 8, Switch-Base-8,
@@ -685,11 +716,12 @@ pub fn run_fleet(args: &Args) -> Result<Outcome, String> {
     let seed = args.seed;
     let ((arrivals, warm), setup_s) = crate::setup_median(|| {
         let arrivals = fleet_arrivals(seed);
-        // Warm up on the whole set: one fleet run is short, and a longer
-        // set-up is a steadier measurement.
+        // Warm up on the whole set: one fleet run is short, and a shorter
+        // warm-up (a tenth of the arrivals) made set-up time twice as
+        // unsteady between runs.
         let stats = fleet_serve(seed, &arrivals)?;
         let expected: usize = arrivals.iter().map(|a| a.request.output_tokens).sum();
-        let ok = if stats.total_tokens == expected { stats.request_latencies.len() } else { 0 };
+        let ok = if fleet_delivered(&stats) == expected { arrivals.len() } else { 0 };
         let acct = sim_accounting(arrivals.len(), ok);
         Ok((arrivals, acct))
     })?;
@@ -767,6 +799,27 @@ mod tests {
         let arrivals = &b8_arrivals(3, B8_RATES[0], 20);
         assert_eq!(b8_point(3, arrivals, None, 0).unwrap().tokens_ok, 20);
         assert_eq!(b8_point(3, arrivals, None, 1).unwrap().tokens_ok, 0);
+    }
+
+    #[test]
+    fn b1_check_counts_the_blocks_actually_run() {
+        let (route_seed, req) = b1_inputs(3)[0];
+        let mut r = b1_run(route_seed, req).unwrap();
+        assert!(b1_ok(&r, &req, 0));
+        r.block_latencies.pop();
+        assert!(!b1_ok(&r, &req, 0), "one block of one token missing");
+    }
+
+    #[test]
+    fn fleet_check_counts_the_tokens_replicas_emitted() {
+        let arrivals = &fleet_arrivals(3)[..200];
+        let stats = fleet_serve(3, arrivals).unwrap();
+        let key = fleet_key(&stats);
+        assert!(key.control.2 > 0, "the kill aborts work in flight");
+        assert_eq!(key.delivered, key.total_tokens, "dropped work is served again");
+        let mut short = stats.clone();
+        short.replicas[0].total_tokens -= 1;
+        assert!(!fleet_ok(&fleet_key(&short), arrivals, 0), "one token missing");
     }
 
     #[test]

@@ -142,9 +142,19 @@ pub fn peak_rss_mb() -> Option<f64> {
 /// Nanoseconds the calling thread has spent on a CPU
 /// (`CLOCK_THREAD_CPUTIME_ID`), or `None` off Linux. Unlike wall time it
 /// excludes time the thread waited for a CPU.
+pub fn thread_cpu_ns() -> Option<u64> {
+    cpu_clock_ns(3)
+}
+
+/// Nanoseconds all threads of this process have spent on a CPU
+/// (`CLOCK_PROCESS_CPUTIME_ID`), or `None` off Linux.
+pub fn process_cpu_ns() -> Option<u64> {
+    cpu_clock_ns(2)
+}
+
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
-pub fn thread_cpu_ns() -> Option<u64> {
+fn cpu_clock_ns(clock: i32) -> Option<u64> {
     #[repr(C)]
     struct Timespec {
         tv_sec: i64,
@@ -153,18 +163,17 @@ pub fn thread_cpu_ns() -> Option<u64> {
     extern "C" {
         fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
     }
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
     let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
     // SAFETY: `ts` is a live, writable `struct timespec` (two 64-bit fields
-    // on 64-bit Linux) and the clock id is a valid constant; the call
-    // writes only into `ts`.
-    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    // on 64-bit Linux) and `clock` is one of the CPU-time clock ids above;
+    // the call writes only into `ts`.
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
     (rc == 0).then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
 }
 
 /// On-CPU time is read only on Linux.
 #[cfg(not(target_os = "linux"))]
-pub fn thread_cpu_ns() -> Option<u64> {
+fn cpu_clock_ns(_clock: i32) -> Option<u64> {
     None
 }
 
