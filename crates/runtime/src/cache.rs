@@ -176,67 +176,6 @@ impl ExpertCache {
         }
     }
 
-    /// Shift-invariant fingerprint of the cache's decision-relevant state,
-    /// used as the residency component of a compiled-plan cache key.
-    ///
-    /// Two states share a fingerprint only when every future
-    /// lookup/eviction decision would be identical: the hash covers
-    /// capacity, replacement policy, the resident key set, each entry's
-    /// recency expressed as `clock - last_used` (invariant under the
-    /// uniform clock advance of a steady-state iteration), and the
-    /// *ranks* (with ties preserved) of `uses` and `inserted_at` — the
-    /// orderings [`ExpertCache::set_capacity`] and eviction consult —
-    /// rather than their raw counters, so two iterations that touch the
-    /// same residents in the same relative order fingerprint equal even
-    /// though the absolute clock has moved on.
-    pub fn state_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut h = h;
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
-        // Tie-preserving rank: entries sharing a raw value share a rank.
-        fn ranks(values: &[u64]) -> Vec<u64> {
-            let mut sorted: Vec<u64> = values.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            values
-                .iter()
-                .map(|v| sorted.binary_search(v).expect("rank of present value") as u64)
-                .collect()
-        }
-        let mut keys: Vec<ExpertKey> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        let uses: Vec<u64> = keys.iter().map(|k| self.entries[k].uses).collect();
-        let inserted: Vec<u64> = keys.iter().map(|k| self.entries[k].inserted_at).collect();
-        let use_ranks = ranks(&uses);
-        let ins_ranks = ranks(&inserted);
-        let mut h = FNV_OFFSET;
-        h = mix(h, self.capacity as u64);
-        h = mix(
-            h,
-            match self.replacement {
-                Replacement::Lifo => 1,
-                Replacement::Lfu => 2,
-                Replacement::Lru => 3,
-            },
-        );
-        h = mix(h, keys.len() as u64);
-        for (i, k) in keys.iter().enumerate() {
-            h = mix(h, k.block as u64);
-            h = mix(h, k.expert as u64);
-            h = mix(h, self.clock - self.entries[k].last_used);
-            h = mix(h, use_ranks[i]);
-            h = mix(h, ins_ranks[i]);
-        }
-        h
-    }
-
     /// The eviction candidate under the configured policy (ties broken by
     /// key order for determinism).
     fn pick_victim(&self) -> Option<ExpertKey> {
@@ -372,44 +311,6 @@ mod tests {
         // A non-resident hint falls back to the configured policy.
         assert!(!c.access_with(key(0, 3), true, Some(key(9, 9))));
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn state_fingerprint_is_shift_invariant_but_order_sensitive() {
-        // Steady state: two iterations that touch the same residents in the
-        // same order fingerprint equal despite the advancing clock.
-        let mut c = ExpertCache::new(3, Replacement::Lru);
-        c.access(key(0, 0));
-        c.access(key(0, 1));
-        c.access(key(0, 2));
-        c.access(key(0, 0));
-        c.access(key(0, 1));
-        c.access(key(0, 2));
-        let f1 = c.state_fingerprint();
-        c.access(key(0, 0));
-        c.access(key(0, 1));
-        c.access(key(0, 2));
-        let f2 = c.state_fingerprint();
-        assert_eq!(f1, f2, "uniform clock shift must not change the fingerprint");
-        // Divergent relative recency (which flips the LRU victim) must.
-        c.access(key(0, 2));
-        c.access(key(0, 1));
-        c.access(key(0, 0));
-        assert_ne!(f1, c.state_fingerprint(), "recency reorder must change the fingerprint");
-        // A different resident set must too.
-        let mut d = ExpertCache::new(3, Replacement::Lru);
-        d.access(key(0, 0));
-        d.access(key(0, 1));
-        assert_ne!(f1, d.state_fingerprint());
-        // And a different capacity with the same residents.
-        let mut e = ExpertCache::new(4, Replacement::Lru);
-        e.access(key(0, 0));
-        e.access(key(0, 1));
-        e.access(key(0, 2));
-        e.access(key(0, 0));
-        e.access(key(0, 1));
-        e.access(key(0, 2));
-        assert_ne!(f1, e.state_fingerprint());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! fetch, when, for which block) through the hooks defined in
 //! [`crate::scheduler`].
 
-use crate::plan::{CacheProbe, PlanBytes, PlanCopy, PlanOp, PlanRecorder};
+use crate::plan::{PlanBytes, PlanOp, PlanRecorder};
 use crate::scheduler::{
     ExpertScheduler, FetchSet, Phase, PolicyCtx, Prefetch, Residency, RoutedSource, RoutedView,
 };
@@ -152,8 +152,8 @@ pub(crate) fn batched_prefill_costs(
 /// which every requested expert is GPU-resident, plus the bytes actually
 /// copied. On OOM the block's buffers are freed before the error
 /// propagates. When a [`PlanRecorder`] is attached the whole fetch —
-/// probes, allocations, copies, and `demand` accounting — is captured as
-/// one [`PlanOp::Fetch`].
+/// allocations, copies, and `demand` accounting — is captured as one
+/// [`PlanOp::Fetch`].
 #[allow(clippy::too_many_arguments)]
 fn issue_copy(
     machine: &mut Machine,
@@ -172,40 +172,24 @@ fn issue_copy(
     let trace = machine.trace_enabled();
     let mut last = None;
     let mut copied = 0u64;
-    let mut probes: Vec<CacheProbe> = Vec::new();
-    let mut copies: Vec<PlanCopy> = Vec::new();
-    let evictions_before = match (&rec, cache.as_ref()) {
-        (Some(_), Some(c)) => c.stats().evictions,
-        _ => 0,
-    };
+    let mut copied_experts: Vec<usize> = Vec::new();
     for &e in experts {
         let key = ExpertKey { block, expert: e };
         if sched.is_resident(key) {
             continue;
         }
-        let hit = match cache.as_mut() {
-            Some(c) => {
-                let admit = sched.cache_admission(key);
-                let hint = sched.eviction_hint(key);
-                let hit = c.access_with(key, admit, hint);
-                if rec.is_some() {
-                    probes.push(CacheProbe { key, admit, hint, hit });
-                }
-                hit
+        if let Some(c) = cache.as_mut() {
+            if c.access_with(key, sched.cache_admission(key), sched.eviction_hint(key)) {
+                continue;
             }
-            None => false,
-        };
-        if hit {
-            continue;
         }
         // Transient staging buffer; OOM here is a real capacity failure.
-        let mut buf_slot = None;
         if alloc_buffers {
             match machine.pool_mut(Tier::Hbm).alloc(plan.expert_bytes()) {
                 Ok(id) => {
                     buffers.push(id);
                     if let Some(r) = rec.as_deref_mut() {
-                        buf_slot = Some(r.buffer(id));
+                        r.buffer(id);
                     }
                 }
                 Err(err) => {
@@ -229,7 +213,7 @@ fn issue_copy(
         copied += plan.expert_bytes();
         last = Some(ev);
         if rec.is_some() {
-            copies.push(PlanCopy { expert: e, buf: buf_slot });
+            copied_experts.push(e);
         }
     }
     // All experts resident: the copy stream is in-order, so the last
@@ -249,18 +233,11 @@ fn issue_copy(
             block,
             bytes_each: plan.expert_bytes(),
             tier: offload_tier,
-            probes,
-            copies,
+            experts: copied_experts,
             waits: wait_slots,
             demand,
             out,
         });
-        if let Some(c) = cache.as_ref() {
-            let after = c.stats().evictions;
-            if after > evictions_before {
-                r.op(PlanOp::Evict { block, count: after - evictions_before });
-            }
-        }
     }
     Ok((done, copied))
 }
@@ -509,10 +486,7 @@ pub(crate) fn decode_iteration(
             exec
         };
         if let Some(r) = rec.as_deref_mut() {
-            if !scratch.pending[b].buffers.is_empty() {
-                let bufs = r.buf_slots_of(&scratch.pending[b].buffers);
-                r.op(PlanOp::FreeBufs { bufs });
-            }
+            r.free_bufs(&scratch.pending[b].buffers);
         }
         free_buffers(env.machine, &mut scratch.pending[b].buffers);
         if let Some(lat) = block_latencies.as_deref_mut() {
@@ -530,10 +504,7 @@ pub(crate) fn decode_iteration(
     // consumed their buffers.
     for p in &mut scratch.pending {
         if let Some(r) = rec.as_deref_mut() {
-            if !p.buffers.is_empty() {
-                let bufs = r.buf_slots_of(&p.buffers);
-                r.op(PlanOp::FreeBufs { bufs });
-            }
+            r.free_bufs(&p.buffers);
         }
         free_buffers(env.machine, &mut p.buffers);
     }

@@ -1,4 +1,4 @@
-//! Compiled decode plans: an op-IR, a plan cache, and an executor for the
+//! Compiled decode plans: an op-IR, a plan cache, and a replay VM for the
 //! shared decode core.
 //!
 //! The decode core (`crate::core`) derives every iteration's schedule from
@@ -6,39 +6,46 @@
 //! front door and the fleet multiply it by thousands of concurrent streams.
 //! This module lowers one decode iteration into a small op-IR
 //! ([`PlanOp`]), caches compiled plans keyed on
-//! `(scheduler fingerprint, routing-window fingerprint, expert-cache state
-//! fingerprint, precision, batch shape)`, and replays cached plans against
-//! the [`Machine`]/[`crate::ExpertCache`] with zero per-op trait dispatch.
+//! `(scheduler fingerprint, per-block routed-set counts, expert bytes,
+//! batch shape, pass geometry)`, and replays cached plans arithmetically
+//! against the [`Machine`] with zero per-op trait dispatch.
 //!
 //! # Bit-exactness contract
 //!
 //! Lowering *is* execution: the first time a key is seen, the core runs the
-//! scheduler hooks and the expert-cache accesses for real while the recorder
-//! captures the resulting machine-call stream. A cache hit replays exactly
-//! that stream — same kernels, same copies, same waits, same transient
-//! allocations, same cache probes (re-applied through
-//! [`crate::ExpertCache::access_with`] so hit/miss counters, recency, and
-//! evictions advance identically). The IR changes *when* decisions are
-//! computed, never *what* they are, which is why every golden-equivalence
-//! suite holds bit-exactly with the plan cache enabled.
+//! scheduler hooks for real while the recorder captures the resulting
+//! machine-call stream. A cache hit reproduces exactly that stream's effect
+//! — same kernels, same copies, same waits, same transient high-water mark
+//! — in one arithmetic pass. The IR changes *when* decisions are computed,
+//! never *what* they are, which is why every golden-equivalence suite holds
+//! bit-exactly with the plan cache enabled.
 //!
 //! # Cacheability
 //!
-//! A scheduler opts into plan caching by returning `Some` from
-//! [`crate::ExpertScheduler::plan_fingerprint`]; the default `None` keeps
-//! stateful or unknown schedulers on the interpreted path (e.g.
-//! `speculative_top_m`, whose hooks mutate a frequency histogram every
-//! block). Traced runs are never cached (their per-expert span labels are
-//! the product being built). See
-//! [`crate::ExpertScheduler::plan_routing_sensitivity`] for how much of the
-//! routing window ends up in the key.
+//! An iteration is compiled only when all three hold: the scheduler
+//! returns `Some` from [`crate::ExpertScheduler::plan_fingerprint`], no
+//! [`crate::ExpertCache`] is attached, and tracing is off. Every other
+//! iteration runs the interpreted core. Pre-gating makes a token's
+//! migration schedule depend only on *how many* experts each block
+//! activates, so count-keyed plans replay almost every token (hit rate
+//! ≈0.997 for batch-1 pre-gated decode). Plans for cache-attached runs
+//! would also have to key on expert ids and cache recency; across every
+//! cache configuration the figures, tests and benchmarks exercise, such
+//! plans replayed 0 times in ~12k iterations, so they are never recorded.
+//! Shapes outside that set can repeat a cache state (compiled, Prefetch-all
+//! with a cache at batch 1 replays about half its iterations); they run
+//! interpreted too, with identical output and more host time.
+//! Stateful schedulers (e.g. `speculative_top_m`, whose hooks mutate a
+//! frequency histogram every block) and id-reading ones (`cache_pinned`)
+//! keep the `None` default. Traced runs are never cached (their per-expert
+//! span labels are the product being built).
 
 use crate::core::{self, CoreEnv, CoreScratch, DecodeCosts};
 use crate::scheduler::{ExpertScheduler, RoutedSource};
-use crate::{ExpertKey, Result, RuntimeError};
+use crate::Result;
 use pgmoe_device::{AllocId, CostModel, EventId, Machine, SimDuration, SimTime, Tier};
 use pgmoe_model::GateTopology;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Maximum number of compiled plans retained per run before the cache is
 /// wholesale cleared (a routing-churn backstop, not a tuning knob).
@@ -71,46 +78,10 @@ pub(crate) fn fingerprint_str(s: &str) -> u64 {
     h
 }
 
-// ---------------------------------------------------------------------
-// Routing sensitivity
-// ---------------------------------------------------------------------
-
-/// How much of the routing window a scheduler's decisions depend on —
-/// declared via [`crate::ExpertScheduler::plan_routing_sensitivity`] and
-/// used to build the plan-cache key's routing fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingSensitivity {
-    /// Decisions depend only on how *many* distinct experts each block
-    /// routes, never on their identities. Valid for schedulers that never
-    /// pin experts, never emit [`crate::FetchSet::Listed`] sets derived
-    /// from expert ids, and use the default byte-proportional
-    /// [`crate::ExecPlan`]. The paper's four built-ins qualify, which is
-    /// what makes steady-state plans reusable across tokens whose routed
-    /// sets differ but whose per-block counts repeat.
-    Counts,
-    /// Decisions may depend on exact expert identities (pinned residents,
-    /// cache steering). The key fingerprints the full per-block sets; the
-    /// core also forces this mode whenever an [`crate::ExpertCache`] is
-    /// attached, because cache probes are keyed by expert id.
-    Exact,
-}
-
-fn routing_fingerprint(
-    routed: &dyn RoutedSource,
-    blocks: usize,
-    sensitivity: RoutingSensitivity,
-) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in 0..blocks {
-        let experts = routed.experts(b);
-        h = fnv_mix(h, experts.len() as u64);
-        if sensitivity == RoutingSensitivity::Exact {
-            for &e in experts {
-                h = fnv_mix(h, e as u64);
-            }
-        }
-    }
-    h
+/// Fingerprint of the routing window's per-block routed-set *sizes*: the
+/// only part of the window a cacheable scheduler's decisions may read.
+fn routing_fingerprint(routed: &dyn RoutedSource, blocks: usize) -> u64 {
+    (0..blocks).fold(FNV_OFFSET, |h, b| fnv_mix(h, routed.experts(b).len() as u64))
 }
 
 // ---------------------------------------------------------------------
@@ -130,36 +101,9 @@ pub enum PlanBytes {
     Lit(u64),
 }
 
-/// One expert-cache access recorded at compile time and re-applied on every
-/// cached execution, so counters, recency, and evictions advance exactly as
-/// the interpreted path would have advanced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheProbe {
-    /// The expert looked up (and admitted on a miss).
-    pub key: ExpertKey,
-    /// The scheduler's admission verdict captured at compile time.
-    pub admit: bool,
-    /// The scheduler's eviction hint captured at compile time.
-    pub hint: Option<ExpertKey>,
-    /// The hit/miss outcome the plan was compiled against; a divergent
-    /// outcome on replay marks the plan stale and aborts execution.
-    pub hit: bool,
-}
-
-/// One host→device expert copy within a [`PlanOp::Fetch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanCopy {
-    /// Expert index being migrated (for rendering; untraced copies all
-    /// submit under the label `"fetch"`).
-    pub expert: usize,
-    /// Transient-buffer slot allocated for this copy, if the fetch stages
-    /// through per-expert HBM buffers.
-    pub buf: Option<u32>,
-}
-
 /// One operation of a compiled decode plan.
 ///
-/// Event operands are *slots* — indices into the executor's event table,
+/// Event operands are *slots* — indices into the replay VM's event table,
 /// assigned in submission order at compile time — so a plan holds no live
 /// [`EventId`]s and can be replayed any number of times.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,9 +140,9 @@ pub enum PlanOp {
         /// Completion-event slot.
         out: u32,
     },
-    /// Migration of one expert group for one MoE block: cache probes,
-    /// transient-buffer allocations, and host→device copies, collapsing to
-    /// a copy-stream barrier when every expert was resident or cached.
+    /// Migration of one expert group for one MoE block: transient-buffer
+    /// allocations and host→device copies, collapsing to a copy-stream
+    /// barrier when every expert was resident or cached.
     Fetch {
         /// Cache key-space block the fetch targets (encoder-offset).
         block: usize,
@@ -206,10 +150,10 @@ pub enum PlanOp {
         bytes_each: u64,
         /// Tier the copies read from.
         tier: Tier,
-        /// Expert-cache accesses to re-apply (empty when no cache).
-        probes: Vec<CacheProbe>,
-        /// Copies to submit, in order.
-        copies: Vec<PlanCopy>,
+        /// Experts to copy, in submission order (for rendering; untraced
+        /// copies all submit under the label `"fetch"`), each staged
+        /// through its own transient HBM buffer.
+        experts: Vec<usize>,
         /// Event slots the copies wait on.
         waits: Vec<u32>,
         /// Whether the copied bytes count as demand (critical-path) stalls.
@@ -224,15 +168,6 @@ pub enum PlanOp {
         /// MoE block index within the decoder.
         block: usize,
     },
-    /// Annotation: the preceding fetch's admissions evicted `count`
-    /// experts from the cache. The evictions themselves re-run through the
-    /// recorded probes; this op only keeps plan renderings honest.
-    Evict {
-        /// Cache key-space block whose fetch triggered the evictions.
-        block: usize,
-        /// Number of evictions.
-        count: u64,
-    },
     /// Paged-KV block bookkeeping charged to simulated time: `blocks`
     /// freshly allocated KV blocks and `cow_bytes` of copy-on-write block
     /// copies (see `kv_append_duration` for the cost model).
@@ -242,10 +177,11 @@ pub enum PlanOp {
         /// Bytes copied by copy-on-write forks this iteration.
         cow_bytes: u64,
     },
-    /// Frees transient expert buffers by slot, in the recorded order.
+    /// Frees `count` transient expert buffers (replay folds every
+    /// allocation and free into one peak-sized reservation).
     FreeBufs {
-        /// Buffer slots to free.
-        bufs: Vec<u32>,
+        /// Buffers freed.
+        count: usize,
     },
     /// Samples `event_time(done) − block_start` into the caller's
     /// block-latency vector.
@@ -260,14 +196,9 @@ pub enum PlanOp {
 pub struct CompiledPlan {
     ops: Vec<PlanOp>,
     n_events: u32,
-    n_buffers: u32,
     /// Most transient expert buffers live at once (× `expert_bytes` =
     /// the iteration's transient HBM high-water mark).
     peak_bufs: u32,
-    /// Whether every transient buffer the plan allocates is also freed by
-    /// the plan — the invariant that lets replay collapse the buffer churn
-    /// into one peak-sized reservation.
-    balanced: bool,
 }
 
 impl CompiledPlan {
@@ -284,14 +215,17 @@ impl CompiledPlan {
 /// Captures the machine-call stream of one interpreted decode iteration.
 ///
 /// The recorder is passive: the core performs every call for real and the
-/// recorder only notes what happened, mapping live [`EventId`]s /
-/// [`AllocId`]s to dense slots. If the core ever waits on an event the
-/// recorder never saw (a cross-iteration dependency no current scheduler
-/// can create), the recording is poisoned and simply not cached.
+/// recorder only notes what happened, mapping live [`EventId`]s to dense
+/// slots and tracking live [`AllocId`]s. If the core ever waits on an
+/// event the recorder never saw (a cross-iteration dependency no current
+/// scheduler can create), the recording is poisoned and simply not cached;
+/// so is one that leaves a transient buffer alive, since replay collapses
+/// the buffer churn into one peak-sized reservation.
 pub(crate) struct PlanRecorder {
     ops: Vec<PlanOp>,
     event_slots: HashMap<EventId, u32>,
-    buf_slots: HashMap<AllocId, u32>,
+    live_bufs: HashSet<AllocId>,
+    peak_bufs: u32,
     dequant: bool,
     poisoned: bool,
 }
@@ -301,7 +235,8 @@ impl PlanRecorder {
         PlanRecorder {
             ops: Vec::with_capacity(64),
             event_slots: HashMap::new(),
-            buf_slots: HashMap::new(),
+            live_bufs: HashSet::new(),
+            peak_bufs: 0,
             dequant,
             poisoned: false,
         }
@@ -338,52 +273,35 @@ impl PlanRecorder {
         out
     }
 
-    /// Assigns the next buffer slot to a freshly allocated transient.
-    pub(crate) fn buffer(&mut self, id: AllocId) -> u32 {
-        let slot = self.buf_slots.len() as u32;
-        if self.buf_slots.insert(id, slot).is_some() {
+    /// Notes a freshly allocated transient buffer.
+    pub(crate) fn buffer(&mut self, id: AllocId) {
+        if !self.live_bufs.insert(id) {
             self.poisoned = true;
         }
-        slot
+        self.peak_bufs = self.peak_bufs.max(self.live_bufs.len() as u32);
     }
 
-    /// Resolves live buffer ids to their slots (for frees).
-    pub(crate) fn buf_slots_of(&mut self, bufs: &[AllocId]) -> Vec<u32> {
-        let mut out = Vec::with_capacity(bufs.len());
+    /// Records the free of `bufs` (nothing when empty).
+    pub(crate) fn free_bufs(&mut self, bufs: &[AllocId]) {
+        if bufs.is_empty() {
+            return;
+        }
         for id in bufs {
-            match self.buf_slots.get(id) {
-                Some(&slot) => out.push(slot),
-                None => self.poisoned = true,
+            if !self.live_bufs.remove(id) {
+                self.poisoned = true;
             }
         }
-        out
+        self.ops.push(PlanOp::FreeBufs { count: bufs.len() });
     }
 
     fn finish(self) -> Option<CompiledPlan> {
-        if self.poisoned {
+        if self.poisoned || !self.live_bufs.is_empty() {
             return None;
         }
-        let (mut live, mut peak, mut freed) = (0u32, 0u32, 0u32);
-        for op in &self.ops {
-            match op {
-                PlanOp::Fetch { copies, .. } => {
-                    live += copies.iter().filter(|c| c.buf.is_some()).count() as u32;
-                    peak = peak.max(live);
-                }
-                PlanOp::FreeBufs { bufs } => {
-                    live = live.saturating_sub(bufs.len() as u32);
-                    freed += bufs.len() as u32;
-                }
-                _ => {}
-            }
-        }
-        let n_buffers = self.buf_slots.len() as u32;
         Some(CompiledPlan {
             ops: self.ops,
             n_events: self.event_slots.len() as u32,
-            n_buffers,
-            peak_bufs: peak,
-            balanced: live == 0 && freed == n_buffers,
+            peak_bufs: self.peak_bufs,
         })
     }
 }
@@ -395,16 +313,15 @@ impl PlanRecorder {
 /// The full cache key: any field drifting forces a recompile, which is the
 /// entire invalidation story — `swap_scheduler` additionally clears the
 /// cache outright (the old scheduler's plans can never be keyed again).
+/// Nothing about an expert cache is keyed: cache-attached runs never
+/// compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     /// Scheduler name+config fingerprint
     /// ([`crate::ExpertScheduler::plan_fingerprint`]).
     sched: u64,
-    /// Routing-window fingerprint at the declared sensitivity.
+    /// Per-block routed-set counts of the routing window.
     routing: u64,
-    /// Expert-cache state fingerprint (membership + shift-invariant
-    /// recency/frequency ranks); `0` when no cache is attached.
-    cache_state: u64,
     /// Bytes of one expert — the precision axis.
     expert_bytes: u64,
     /// Batch shape (ready-request count for the batched path, 1 for the
@@ -474,8 +391,7 @@ impl PlanSession {
         }
     }
 
-    /// Drops every compiled plan (scheduler swap, capacity churn beyond
-    /// what the key can absorb).
+    /// Drops every compiled plan (scheduler swap).
     pub(crate) fn invalidate(&mut self) {
         if let Some(plans) = self.plans.as_mut() {
             if !plans.is_empty() {
@@ -500,9 +416,9 @@ impl PlanSession {
 
 /// Runs one decode iteration through the plan compiler: replaying a cached
 /// plan when the key matches, otherwise lowering the interpreted iteration
-/// while recording it. Uncacheable configurations (no fingerprint, traced
-/// runs, caching disabled) fall through to the plain interpreted core —
-/// and behave identically either way.
+/// while recording it. Uncacheable iterations (see the module docs'
+/// *Cacheability*) run the plain interpreted core — and behave identically
+/// either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decode_iteration_planned(
     env: &mut CoreEnv<'_>,
@@ -517,69 +433,32 @@ pub(crate) fn decode_iteration_planned(
     ps: &mut PlanSession,
     batch_shape: u64,
 ) -> Result<()> {
-    if ps.capture {
-        let mut rec = PlanRecorder::new(ps.dequant);
-        core::decode_iteration(
-            env,
-            sched,
-            topo,
-            routed,
-            token,
-            enc_blocks,
-            costs,
-            scratch,
-            block_latencies,
-            Some(&mut rec),
-        )?;
-        if let Some(plan) = rec.finish() {
-            ps.captured = Some(plan);
+    let cacheable = ps.plans.is_some() && env.cache.is_none() && !env.machine.trace_enabled();
+    let key = cacheable.then(|| sched.plan_fingerprint()).flatten().map(|sched_fp| {
+        let dec_blocks = scratch.dec_blocks();
+        let mut shape = fnv_mix(FNV_OFFSET, dec_blocks as u64);
+        shape = fnv_mix(shape, enc_blocks as u64);
+        shape = fnv_mix(shape, costs.decoder_layers as u64);
+        shape = fnv_mix(shape, costs.moe_every as u64);
+        shape = fnv_mix(shape, block_latencies.is_some() as u64);
+        PlanKey {
+            sched: sched_fp,
+            routing: routing_fingerprint(routed, dec_blocks),
+            expert_bytes: env.plan.expert_bytes(),
+            batch_shape,
+            shape,
         }
-        return Ok(());
-    }
-    let fingerprint = if ps.plans.is_some() && !env.machine.trace_enabled() {
-        sched.plan_fingerprint()
-    } else {
-        None
-    };
-    let Some(sched_fp) = fingerprint else {
-        return core::decode_iteration(
-            env,
-            sched,
-            topo,
-            routed,
-            token,
-            enc_blocks,
-            costs,
-            scratch,
-            block_latencies,
-            None,
-        );
-    };
-    let dec_blocks = scratch.dec_blocks();
-    let sensitivity = if env.cache.is_some() {
-        RoutingSensitivity::Exact
-    } else {
-        sched.plan_routing_sensitivity()
-    };
-    let mut shape = fnv_mix(FNV_OFFSET, dec_blocks as u64);
-    shape = fnv_mix(shape, enc_blocks as u64);
-    shape = fnv_mix(shape, costs.decoder_layers as u64);
-    shape = fnv_mix(shape, costs.moe_every as u64);
-    shape = fnv_mix(shape, block_latencies.is_some() as u64);
-    let key = PlanKey {
-        sched: sched_fp,
-        routing: routing_fingerprint(routed, dec_blocks, sensitivity),
-        cache_state: env.cache.as_ref().map(|c| c.state_fingerprint()).unwrap_or(0),
-        expert_bytes: env.plan.expert_bytes(),
-        batch_shape,
-        shape,
-    };
-    let plans = ps.plans.as_mut().expect("fingerprint implies enabled cache");
-    if let Some(plan) = plans.get(&key) {
+    });
+    if let Some(plan) = key.and_then(|k| ps.plans.as_ref()?.get(&k)) {
         ps.stats.hits += 1;
-        return execute(plan, env, costs, block_latencies.as_deref_mut());
+        if replay(plan, env, costs, block_latencies.as_deref_mut()) {
+            return Ok(());
+        }
+        // The peak-sized transient reservation did not fit. HBM is a byte
+        // counter, so the interpreted iteration below reaches the same peak
+        // and fails with the same OOM.
     }
-    let mut rec = PlanRecorder::new(ps.dequant);
+    let mut rec = (ps.capture || key.is_some()).then(|| PlanRecorder::new(ps.dequant));
     core::decode_iteration(
         env,
         sched,
@@ -590,22 +469,28 @@ pub(crate) fn decode_iteration_planned(
         costs,
         scratch,
         block_latencies,
-        Some(&mut rec),
+        rec.as_mut(),
     )?;
-    ps.stats.misses += 1;
-    if let Some(plan) = rec.finish() {
-        let plans = ps.plans.as_mut().expect("fingerprint implies enabled cache");
-        if plans.len() >= PLAN_CACHE_CAP {
-            plans.clear();
-            ps.stats.invalidations += 1;
+    let plan = rec.and_then(PlanRecorder::finish);
+    if ps.capture {
+        if plan.is_some() {
+            ps.captured = plan;
         }
-        plans.insert(key, plan);
+    } else if let (Some(key), Some(plans)) = (key, ps.plans.as_mut()) {
+        ps.stats.misses += 1;
+        if let Some(plan) = plan {
+            if plans.len() >= PLAN_CACHE_CAP {
+                plans.clear();
+                ps.stats.invalidations += 1;
+            }
+            plans.insert(key, plan);
+        }
     }
     Ok(())
 }
 
 // ---------------------------------------------------------------------
-// Executor
+// Replay VM
 // ---------------------------------------------------------------------
 
 /// Simulated cost of paged-KV block bookkeeping: copy-on-write block copies
@@ -626,45 +511,21 @@ pub(crate) fn execute_kv_append(machine: &mut Machine, blocks: u64, cow_bytes: u
     }
 }
 
-fn stale(msg: &str) -> RuntimeError {
-    RuntimeError::InvalidConfig { message: format!("stale compiled plan: {msg}") }
-}
-
-/// Replays a compiled plan against the live machine and expert cache.
+/// Replays a compiled plan against the live machine.
 ///
-/// The fast path never touches the engine per op: plans are self-contained
-/// (the recorder poisons any recording that waits across iterations), so
-/// the whole schedule is computed arithmetically with the exact
+/// Replay never touches the engine per op: plans are self-contained (the
+/// recorder poisons any recording that waits across iterations), so the
+/// whole schedule is computed arithmetically with the exact
 /// [`pgmoe_device::SimEngine::submit`] law and applied in one
 /// [`Machine::apply_replay`] — same tails, busy time, traffic counters,
-/// pool peak, block latencies. When the transient reservation does not fit
-/// the op-by-op path runs instead, reproducing the interpreted iteration's
-/// exact OOM semantics. Either way cache probes are re-applied and verified
-/// against their compile-time outcomes (a divergence means the plan-key
-/// fingerprint failed, which is a bug, not a recoverable state).
-fn execute(
-    plan: &CompiledPlan,
-    env: &mut CoreEnv<'_>,
-    costs: &DecodeCosts,
-    mut block_latencies: Option<&mut Vec<SimDuration>>,
-) -> Result<()> {
-    if replay(plan, env, costs, block_latencies.as_deref_mut())? {
-        return Ok(());
-    }
-    execute_ops(plan, env, costs, block_latencies)
-}
-
-/// The arithmetic fast path behind [`execute`]: `Ok(true)` when the plan
-/// was fully applied, `Ok(false)` to fall back to [`execute_ops`].
+/// pool peak, block latencies. Returns `false`, having changed nothing,
+/// when the transient reservation does not fit.
 fn replay(
     plan: &CompiledPlan,
     env: &mut CoreEnv<'_>,
     costs: &DecodeCosts,
     mut block_latencies: Option<&mut Vec<SimDuration>>,
-) -> Result<bool> {
-    if !plan.balanced {
-        return Ok(false);
-    }
+) -> bool {
     // One peak-sized reservation stands in for the per-expert transient
     // buffers: the pool's high-water mark moves exactly as the interleaved
     // alloc/free stream would have moved it.
@@ -672,7 +533,7 @@ fn replay(
         match env.machine.pool_mut(Tier::Hbm).alloc(plan.peak_bufs as u64 * env.plan.expert_bytes())
         {
             Ok(id) => Some(id),
-            Err(_) => return Ok(false),
+            Err(_) => return false,
         }
     } else {
         None
@@ -720,24 +581,7 @@ fn replay(
                 busy_c += *dur;
                 times.push(tail_c);
             }
-            PlanOp::Fetch { bytes_each, tier, probes, copies, waits, demand, .. } => {
-                for p in probes {
-                    let verified =
-                        env.cache.as_mut().map(|c| c.access_with(p.key, p.admit, p.hint) == p.hit);
-                    if verified != Some(true) {
-                        if let Some(id) = reservation {
-                            env.machine
-                                .pool_mut(Tier::Hbm)
-                                .free(id)
-                                .expect("replay reservation double free");
-                        }
-                        return Err(stale(if verified.is_none() {
-                            "cache detached"
-                        } else {
-                            "probe outcome diverged"
-                        }));
-                    }
-                }
+            PlanOp::Fetch { bytes_each, tier, experts, waits, demand, .. } => {
                 let mut start = tail_p;
                 for &s in waits {
                     start = start.max(times[s as usize]);
@@ -745,7 +589,7 @@ fn replay(
                 // The copies serialize on the in-order copy stream behind a
                 // shared wait set, so n equal-length copies collapse to one
                 // interval (a zero-copy fetch is the zero-length barrier).
-                let n = copies.len() as u64;
+                let n = experts.len() as u64;
                 let span = env.machine.transfer_time(*bytes_each, *tier).as_nanos() * n;
                 tail_p = start + SimDuration::from_nanos(span);
                 busy_p += SimDuration::from_nanos(span);
@@ -762,7 +606,7 @@ fn replay(
                     lat.push(times[*done as usize] - block_start);
                 }
             }
-            PlanOp::FreeBufs { .. } | PlanOp::Dequant { .. } | PlanOp::Evict { .. } => {}
+            PlanOp::FreeBufs { .. } | PlanOp::Dequant { .. } => {}
             PlanOp::KvAppend { blocks, cow_bytes } => {
                 let dur = kv_append_duration(env.machine.cost(), *blocks, *cow_bytes);
                 if dur > SimDuration::ZERO {
@@ -776,111 +620,7 @@ fn replay(
         env.machine.pool_mut(Tier::Hbm).free(id).expect("replay reservation double free");
     }
     env.machine.apply_replay(tail_c, tail_p, busy_c, busy_p, offload);
-    Ok(true)
-}
-
-/// The event-by-event fallback executor: submits the recorded machine-call
-/// stream byte-identically to the interpreted iteration the plan was
-/// compiled from.
-fn execute_ops(
-    plan: &CompiledPlan,
-    env: &mut CoreEnv<'_>,
-    costs: &DecodeCosts,
-    mut block_latencies: Option<&mut Vec<SimDuration>>,
-) -> Result<()> {
-    let mut events: Vec<EventId> = Vec::with_capacity(plan.n_events as usize);
-    let mut bufs: Vec<Option<AllocId>> = Vec::with_capacity(plan.n_buffers as usize);
-    let mut wl: Vec<EventId> = Vec::with_capacity(4);
-    let mut block_start = SimTime::ZERO;
-    for op in &plan.ops {
-        match op {
-            PlanOp::BlockStart => {
-                let compute = env.machine.compute_stream();
-                block_start = env.machine.engine_mut().stream_tail(compute);
-            }
-            PlanOp::Gemm { label, bytes, waits, out } => {
-                wl.clear();
-                wl.extend(waits.iter().map(|&s| events[s as usize]));
-                let b = match bytes {
-                    PlanBytes::Attn => costs.attn_bytes,
-                    PlanBytes::Ffn => costs.ffn_bytes,
-                    PlanBytes::Lit(v) => *v,
-                };
-                let ev = env.machine.launch_kernel(label, 0.0, b, &wl);
-                if out.is_some() {
-                    events.push(ev);
-                }
-            }
-            PlanOp::Gate { .. } => {
-                let dur = env.machine.cost().gate_overhead;
-                events.push(env.machine.compute_op("gate", dur, &[]));
-            }
-            PlanOp::AllToAll { label, dur, waits, .. } => {
-                wl.clear();
-                wl.extend(waits.iter().map(|&s| events[s as usize]));
-                events.push(env.machine.compute_op(label, *dur, &wl));
-            }
-            PlanOp::Fetch { bytes_each, tier, probes, copies, waits, demand, .. } => {
-                for p in probes {
-                    let cache = env.cache.as_mut().ok_or_else(|| stale("cache detached"))?;
-                    if cache.access_with(p.key, p.admit, p.hint) != p.hit {
-                        return Err(stale("probe outcome diverged"));
-                    }
-                }
-                wl.clear();
-                wl.extend(waits.iter().map(|&s| events[s as usize]));
-                let mut last = None;
-                for c in copies {
-                    if c.buf.is_some() {
-                        match env.machine.pool_mut(Tier::Hbm).alloc(*bytes_each) {
-                            Ok(id) => bufs.push(Some(id)),
-                            Err(err) => {
-                                for id in bufs.iter_mut().filter_map(Option::take) {
-                                    env.machine
-                                        .pool_mut(Tier::Hbm)
-                                        .free(id)
-                                        .expect("expert buffer double free");
-                                }
-                                return Err(err.into());
-                            }
-                        }
-                    }
-                    last = Some(env.machine.copy_to_gpu("fetch", *bytes_each, *tier, &wl));
-                }
-                let done = match last {
-                    Some(ev) => ev,
-                    None => {
-                        let copy = env.machine.copy_stream();
-                        env.machine.engine_mut().barrier(copy, &wl)
-                    }
-                };
-                if *demand {
-                    *env.demand_bytes += copies.len() as u64 * bytes_each;
-                }
-                events.push(done);
-            }
-            PlanOp::FreeBufs { bufs: list } => {
-                for &s in list {
-                    if let Some(id) = bufs[s as usize].take() {
-                        env.machine
-                            .pool_mut(Tier::Hbm)
-                            .free(id)
-                            .expect("expert buffer double free");
-                    }
-                }
-            }
-            PlanOp::Latency { done } => {
-                if let Some(lat) = block_latencies.as_deref_mut() {
-                    lat.push(env.machine.event_time(events[*done as usize]) - block_start);
-                }
-            }
-            PlanOp::Dequant { .. } | PlanOp::Evict { .. } => {}
-            PlanOp::KvAppend { blocks, cow_bytes } => {
-                execute_kv_append(env.machine, *blocks, *cow_bytes);
-            }
-        }
-    }
-    Ok(())
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -926,24 +666,21 @@ impl PlanTrace {
                 }
                 PlanOp::Gate { .. } => "gate".to_string(),
                 PlanOp::AllToAll { label, dur, .. } => format!("a2a {label} {dur}"),
-                PlanOp::Fetch { block, bytes_each, tier, probes, copies, demand, .. } => {
-                    let experts: Vec<String> =
-                        copies.iter().map(|c| c.expert.to_string()).collect();
+                PlanOp::Fetch { block, bytes_each, tier, experts, demand, .. } => {
+                    let experts: Vec<String> = experts.iter().map(usize::to_string).collect();
                     format!(
-                        "fetch b{block} [{}] {}B {:?} probes={} demand={}",
+                        "fetch b{block} [{}] {}B {:?} demand={}",
                         experts.join(","),
                         bytes_each,
                         tier,
-                        probes.len(),
                         demand,
                     )
                 }
                 PlanOp::Dequant { block } => format!("dequant b{block} (fused)"),
-                PlanOp::Evict { block, count } => format!("evict b{block} x{count}"),
                 PlanOp::KvAppend { blocks, cow_bytes } => {
                     format!("kv-append blocks={blocks} cow={cow_bytes}B")
                 }
-                PlanOp::FreeBufs { bufs } => format!("free x{}", bufs.len()),
+                PlanOp::FreeBufs { count } => format!("free x{count}"),
                 PlanOp::Latency { .. } => "latency-sample".to_string(),
             });
         }
@@ -1006,22 +743,12 @@ mod tests {
     }
 
     #[test]
-    fn counts_sensitivity_ignores_identities_exact_does_not() {
+    fn routing_fingerprint_keys_counts_not_identities() {
         let a = FixedRouting(vec![vec![1, 2], vec![5]]);
         let b = FixedRouting(vec![vec![3, 7], vec![9]]);
         let c = FixedRouting(vec![vec![3], vec![9]]);
-        assert_eq!(
-            routing_fingerprint(&a, 2, RoutingSensitivity::Counts),
-            routing_fingerprint(&b, 2, RoutingSensitivity::Counts),
-        );
-        assert_ne!(
-            routing_fingerprint(&a, 2, RoutingSensitivity::Counts),
-            routing_fingerprint(&c, 2, RoutingSensitivity::Counts),
-        );
-        assert_ne!(
-            routing_fingerprint(&a, 2, RoutingSensitivity::Exact),
-            routing_fingerprint(&b, 2, RoutingSensitivity::Exact),
-        );
+        assert_eq!(routing_fingerprint(&a, 2), routing_fingerprint(&b, 2));
+        assert_ne!(routing_fingerprint(&a, 2), routing_fingerprint(&c, 2));
     }
 
     #[test]
@@ -1032,6 +759,23 @@ mod tests {
         let slots = rec.slots_of(&[ev]);
         assert!(slots.is_empty());
         assert!(rec.finish().is_none(), "unknown waits must poison the recording");
+    }
+
+    #[test]
+    fn recorder_rejects_a_recording_that_leaves_a_buffer_alive() {
+        let mut m = Machine::new(pgmoe_device::MachineConfig::a100_like());
+        let pool = m.pool_mut(Tier::Hbm);
+        let (a, b) = (pool.alloc(8).unwrap(), pool.alloc(8).unwrap());
+        let mut rec = PlanRecorder::new(false);
+        rec.buffer(a);
+        rec.buffer(b);
+        rec.free_bufs(&[a]);
+        assert!(rec.finish().is_none(), "replay cannot stand in for a leaked buffer");
+        let mut rec = PlanRecorder::new(false);
+        rec.buffer(a);
+        rec.buffer(b);
+        rec.free_bufs(&[a, b]);
+        assert_eq!(rec.finish().map(|p| p.peak_bufs), Some(2));
     }
 
     #[test]
@@ -1059,9 +803,7 @@ mod tests {
                 PlanOp::Gemm { label: "attn", bytes: PlanBytes::Attn, waits: vec![], out: None },
             ],
             n_events: 0,
-            n_buffers: 0,
             peak_bufs: 0,
-            balanced: true,
         };
         let mut plan_b = plan_a.clone();
         plan_b.ops.push(PlanOp::Gate { out: 0 });

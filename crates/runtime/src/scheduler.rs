@@ -35,7 +35,7 @@
 //! [`PolicySpec::cache_pinned`]; `examples/custom_policy.rs` builds one
 //! entirely outside this crate.
 
-use crate::plan::{fingerprint_str, fnv_mix, RoutingSensitivity};
+use crate::plan::{fingerprint_str, fnv_mix};
 use crate::{ExpertCache, ExpertKey, OffloadPolicy, Result, RuntimeError};
 use pgmoe_device::SimDuration;
 use pgmoe_model::{GateTopology, GatingMode};
@@ -385,26 +385,18 @@ pub trait ExpertScheduler {
     ///
     /// Returning `Some(fp)` is a contract: every hook must be a pure
     /// function of the scheduler's construction-time configuration (folded
-    /// into `fp`) and the [`PolicyCtx`] fields the plan cache keys on — the
-    /// routing window, the expert-cache state, and `expert_bytes`. Hooks
-    /// must not consult mutable state accumulated across iterations and
-    /// must not condition on `ctx.token`; schedulers that do either (e.g.
-    /// the frequency-tracking `speculative_top_m`) must keep the `None`
-    /// default, which makes the core interpret every iteration.
+    /// into `fp`) and the fields the plan cache keys on — the per-block
+    /// routed-set *counts*, `expert_bytes`, the batch shape and the pass
+    /// geometry. Hooks must not read expert ids (of the routed sets or in
+    /// [`ExpertScheduler::is_resident`]), must not consult mutable state
+    /// accumulated across iterations, and must not condition on
+    /// `ctx.token`. Schedulers that do any of these (the frequency-tracking
+    /// `speculative_top_m`, the id-pinning `cache_pinned`) keep the `None`
+    /// default, which makes the core interpret every iteration. Runs with
+    /// an [`ExpertCache`] attached, and traced runs, are interpreted
+    /// whatever this returns.
     fn plan_fingerprint(&self) -> Option<u64> {
         None
-    }
-
-    /// How much of the routing window this scheduler's decisions read,
-    /// which bounds what the plan cache must key on. The conservative
-    /// default says hooks may read exact expert ids; schedulers whose
-    /// decisions depend only on per-block routed-set *sizes* can answer
-    /// [`RoutingSensitivity::Counts`] and share one compiled plan across
-    /// every token with the same per-block counts. Ignored (forced to
-    /// `Exact`) whenever an [`ExpertCache`] is
-    /// attached, since cache probes are keyed on expert ids.
-    fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Exact
     }
 }
 
@@ -539,10 +531,6 @@ impl ExpertScheduler for GpuOnlySched {
     fn plan_fingerprint(&self) -> Option<u64> {
         Some(fingerprint_str("gpu-only"))
     }
-
-    fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Counts
-    }
 }
 
 /// HF-Accelerate-style fetch-on-demand: gate, then fetch, then execute.
@@ -568,10 +556,6 @@ impl ExpertScheduler for OnDemandSched {
 
     fn plan_fingerprint(&self) -> Option<u64> {
         Some(fingerprint_str("on-demand"))
-    }
-
-    fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Counts
     }
 }
 
@@ -617,10 +601,6 @@ impl ExpertScheduler for PrefetchAllSched {
 
     fn plan_fingerprint(&self) -> Option<u64> {
         Some(fingerprint_str("prefetch-all"))
-    }
-
-    fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Counts
     }
 }
 
@@ -670,10 +650,6 @@ impl ExpertScheduler for PregatedSched {
 
     fn plan_fingerprint(&self) -> Option<u64> {
         Some(fnv_mix(fingerprint_str("pregated"), self.level as u64))
-    }
-
-    fn plan_routing_sensitivity(&self) -> RoutingSensitivity {
-        RoutingSensitivity::Counts
     }
 }
 
@@ -944,15 +920,6 @@ impl ExpertScheduler for CachePinnedSched {
 
     fn on_gate(&mut self, ctx: &PolicyCtx<'_>, block: usize, out: &mut Vec<Prefetch>) {
         pregated_on_gate(ctx, block, out);
-    }
-
-    fn plan_fingerprint(&self) -> Option<u64> {
-        // Keeps the `Exact` routing-sensitivity default: `is_resident`
-        // partitions the routed set by expert id.
-        Some(fnv_mix(
-            fnv_mix(fingerprint_str("cache-pinned"), self.per_block as u64),
-            self.level as u64,
-        ))
     }
 }
 

@@ -1371,14 +1371,15 @@ mod tests {
     }
 
     #[test]
-    fn kv_pressure_cache_shrink_recompiles_plans_bit_exactly() {
+    fn cache_attached_sessions_never_compile() {
         use crate::{serve_batched, CacheConfig, Replacement};
         // A budget that fits the full expert-cache region while the KV pool
         // is empty but squeezes it once decode KV accumulates: the
-        // paged-KV reconcile shrinks the cache mid-run via set_capacity,
-        // which changes the plan key's cache-state fingerprint. A stale
-        // pre-shrink plan must never replay — asserted by bitwise equality
-        // against the interpreted (plan-cache-off) run.
+        // paged-KV reconcile shrinks the cache mid-run via set_capacity.
+        // Plans for a cache-attached run would have to key on the cache's
+        // state, and such plans never replay, so the session interprets
+        // every iteration — asserted by zero plan counters and bitwise
+        // equality against the plan-cache-off run.
         let cfg = ModelConfig::switch_base(8);
         let eb = PlacementPlan::new(&cfg, &SimOptions::new(OffloadPolicy::Pregated), 0, 1)
             .expert_bytes();
@@ -1408,14 +1409,12 @@ mod tests {
         let off = run(false);
         let kv = on.kv.as_ref().expect("paged run reports kv stats");
         assert!(kv.cache_shrink_events > 0, "the budget must squeeze the cache mid-run: {kv:?}");
-        assert_eq!(off.plan_cache_misses, 0, "the interpreted run never compiles");
         assert_eq!(
-            on.request_latencies, off.request_latencies,
-            "replay across a capacity shrink must stay bit-exact"
+            (on.plan_cache_hits, on.plan_cache_misses),
+            (0, 0),
+            "a cache-attached session must not compile plans"
         );
-        assert_eq!(on.ttfts, off.ttfts);
-        assert_eq!(on.expert_fetch_bytes, off.expert_fetch_bytes);
-        assert_eq!(on.demand_fetch_bytes, off.demand_fetch_bytes);
+        assert_eq!(format!("{on:?}"), format!("{off:?}"), "plan-on must equal plan-off bitwise");
     }
 
     #[test]
