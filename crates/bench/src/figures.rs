@@ -374,6 +374,37 @@ mod tests {
         assert!(large_row.contains("OOM"), "{large_row}");
     }
 
+    /// Fig 15 as the repo reproduces it: every row, throughput and hit
+    /// rate included. Cache, replacement or scheduler changes that move a
+    /// single digit must update this pin deliberately.
+    #[test]
+    fn fig15_rows_are_pinned() {
+        let expected = "\
+== Fig 15: expert caching, Switch-Large-128, Zipf-hot routing ==\n\
+(normalized to Pre-gated MoE w/o cache; paper shows OnDemand gaining most)\n\
+Pre-gated MoE    none       -:  1.00\n\
+Pre-gated MoE    LIFO      1%:  1.00  (hit  0.0%)\n\
+Pre-gated MoE    LIFO     10%:  1.00  (hit  0.0%)\n\
+Pre-gated MoE    LIFO     20%:  1.02  (hit 53.3%)\n\
+Pre-gated MoE    LFU       1%:  1.01  (hit 38.0%)\n\
+Pre-gated MoE    LFU      10%:  1.02  (hit 53.3%)\n\
+Pre-gated MoE    LFU      20%:  1.02  (hit 53.3%)\n\
+Pre-gated MoE    LRU       1%:  1.02  (hit 36.3%)\n\
+Pre-gated MoE    LRU      10%:  1.02  (hit 53.3%)\n\
+Pre-gated MoE    LRU      20%:  1.02  (hit 53.3%)\n\
+MoE-OnDemand     none       -:  0.68\n\
+MoE-OnDemand     LIFO      1%:  0.68  (hit  0.0%)\n\
+MoE-OnDemand     LIFO     10%:  0.68  (hit  0.0%)\n\
+MoE-OnDemand     LIFO     20%:  0.86  (hit 53.3%)\n\
+MoE-OnDemand     LFU       1%:  0.80  (hit 38.0%)\n\
+MoE-OnDemand     LFU      10%:  0.86  (hit 53.3%)\n\
+MoE-OnDemand     LFU      20%:  0.86  (hit 53.3%)\n\
+MoE-OnDemand     LRU       1%:  0.79  (hit 36.3%)\n\
+MoE-OnDemand     LRU      10%:  0.86  (hit 53.3%)\n\
+MoE-OnDemand     LRU      20%:  0.86  (hit 53.3%)\n";
+        assert_eq!(fig15(), expected);
+    }
+
     #[test]
     fn fig16_normalizes_to_pregated() {
         let f = fig16();

@@ -16,6 +16,11 @@
 //! `max(stream tail, resource free time, waited events)` — an exact
 //! discrete-event schedule computed online, with a full trace retained for
 //! timeline rendering (Fig 9).
+//!
+//! Event completion times are kept only until [`SimEngine::retire_events`]:
+//! serving loops retire at every iteration boundary, so an [`EventId`] is
+//! valid only within the iteration that created it and memory stays flat
+//! over arbitrarily long runs.
 
 use crate::{SimDuration, SimTime, TraceSpan};
 
@@ -72,7 +77,11 @@ struct ResourceState {
 pub struct SimEngine {
     streams: Vec<StreamState>,
     resources: Vec<ResourceState>,
+    /// Completion times of the live events; `events[i]` belongs to
+    /// `EventId(retired + i)`.
     events: Vec<SimTime>,
+    /// Events retired so far; ids below this are no longer readable.
+    retired: usize,
     trace: Vec<TraceSpan>,
     trace_enabled: bool,
 }
@@ -115,7 +124,8 @@ impl SimEngine {
     ///
     /// # Panics
     ///
-    /// Panics on unknown stream or event handles (these are engine-scoped).
+    /// Panics on unknown stream or event handles (these are engine-scoped)
+    /// and on retired events.
     pub fn submit(
         &mut self,
         stream: StreamId,
@@ -126,8 +136,8 @@ impl SimEngine {
         let mut start = self.streams[stream.0].tail;
         let resource = self.streams[stream.0].resource;
         start = start.max(self.resources[resource.0].free_at);
-        for w in waits {
-            start = start.max(self.events[w.0]);
+        for &w in waits {
+            start = start.max(self.event_time(w));
         }
         let end = start + duration;
         self.streams[stream.0].tail = end;
@@ -142,7 +152,7 @@ impl SimEngine {
                 end,
             });
         }
-        EventId(self.events.len() - 1)
+        EventId(self.retired + self.events.len() - 1)
     }
 
     /// Submits a zero-length barrier on `stream` that waits for `waits`.
@@ -157,9 +167,25 @@ impl SimEngine {
     ///
     /// # Panics
     ///
-    /// Panics on foreign handles.
+    /// Panics on foreign handles and on events retired by
+    /// [`SimEngine::retire_events`].
     pub fn event_time(&self, event: EventId) -> SimTime {
-        self.events[event.0]
+        let live = event.0.checked_sub(self.retired).expect("retired event");
+        self.events[live]
+    }
+
+    /// Forgets the completion times of every event submitted so far. Ids
+    /// keep counting, so later events never alias retired ones; reading or
+    /// waiting on a retired id panics. Stream tails, resource state and the
+    /// trace are unaffected, so the schedule is unchanged.
+    pub fn retire_events(&mut self) {
+        self.retired += self.events.len();
+        self.events.clear();
+    }
+
+    /// Number of events submitted since the last [`SimEngine::retire_events`].
+    pub fn live_events(&self) -> usize {
+        self.events.len()
     }
 
     /// Tail (time of last submitted op) of a stream.
@@ -315,6 +341,41 @@ mod tests {
         let (mut eng, compute, _) = engine_with_two_streams();
         eng.submit(compute, "a", SimDuration::from_nanos(100), &[]);
         eng.fast_forward(compute, SimTime::from_nanos(50), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn event_ids_stay_monotonic_across_retirement() {
+        let (mut eng, compute, copy) = engine_with_two_streams();
+        let a = eng.submit(compute, "a", SimDuration::from_nanos(100), &[]);
+        let b = eng.submit(copy, "b", SimDuration::from_nanos(40), &[a]);
+        assert_eq!(eng.live_events(), 2);
+        eng.retire_events();
+        assert_eq!(eng.live_events(), 0);
+        let c = eng.submit(compute, "c", SimDuration::from_nanos(10), &[]);
+        let d = eng.barrier(copy, &[c]);
+        assert_eq!(eng.live_events(), 2);
+        assert!(a.0 < b.0 && b.0 < c.0 && c.0 < d.0, "ids never reuse retired slots");
+        // Retirement forgets event times, not the schedule.
+        assert_eq!(eng.event_time(c).as_nanos(), 110);
+        assert_eq!(eng.event_time(d).as_nanos(), 140);
+    }
+
+    #[test]
+    #[should_panic(expected = "retired event")]
+    fn event_time_of_a_retired_event_panics() {
+        let (mut eng, compute, _) = engine_with_two_streams();
+        let a = eng.submit(compute, "a", SimDuration::from_nanos(100), &[]);
+        eng.retire_events();
+        eng.event_time(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "retired event")]
+    fn waiting_on_a_retired_event_panics() {
+        let (mut eng, compute, copy) = engine_with_two_streams();
+        let a = eng.submit(compute, "a", SimDuration::from_nanos(100), &[]);
+        eng.retire_events();
+        eng.submit(copy, "b", SimDuration::from_nanos(1), &[a]);
     }
 
     #[test]

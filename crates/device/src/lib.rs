@@ -39,6 +39,7 @@
 mod cost;
 mod engine;
 mod error;
+mod hash;
 mod link;
 mod machine;
 mod memory;
@@ -48,6 +49,7 @@ mod trace;
 pub use cost::CostModel;
 pub use engine::{EventId, ResourceId, SimEngine, StreamId};
 pub use error::{DeviceError, Result};
+pub use hash::{IntBuildHasher, IntHasher};
 pub use link::Link;
 pub use machine::{Machine, MachineConfig};
 pub use memory::{AllocId, MemoryPool, Tier};

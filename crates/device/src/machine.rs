@@ -253,6 +253,13 @@ impl Machine {
         self.engine.clear_trace();
     }
 
+    /// Retires every event submitted so far (see
+    /// [`SimEngine::retire_events`]); serving loops call this at each
+    /// iteration boundary.
+    pub fn retire_events(&mut self) {
+        self.engine.retire_events();
+    }
+
     /// Direct access to the underlying engine for advanced schedules.
     pub fn engine_mut(&mut self) -> &mut SimEngine {
         &mut self.engine

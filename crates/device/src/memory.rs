@@ -1,6 +1,6 @@
 //! Capacity-tracked memory pools for the GPU/CPU/SSD tiers.
 
-use crate::{DeviceError, Result};
+use crate::{DeviceError, IntBuildHasher, Result};
 use std::collections::HashMap;
 
 /// A storage tier in the paper's memory hierarchy (Fig 4).
@@ -49,13 +49,13 @@ pub struct MemoryPool {
     used: u64,
     peak: u64,
     next_id: u64,
-    live: HashMap<u64, u64>,
+    live: HashMap<u64, u64, IntBuildHasher>,
 }
 
 impl MemoryPool {
     /// Creates a pool of `capacity` bytes on `tier`.
     pub fn new(tier: Tier, capacity: u64) -> Self {
-        MemoryPool { tier, capacity, used: 0, peak: 0, next_id: 0, live: HashMap::new() }
+        MemoryPool { tier, capacity, used: 0, peak: 0, next_id: 0, live: HashMap::default() }
     }
 
     /// The pool's tier.

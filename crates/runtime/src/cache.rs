@@ -7,7 +7,8 @@
 //! the cache those experiments share.
 
 use crate::Replacement;
-use std::collections::HashMap;
+use pgmoe_device::IntBuildHasher;
+use std::collections::{BTreeSet, HashMap};
 
 /// Identity of an expert: (MoE block index, expert index within the block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,11 +49,29 @@ struct Entry {
     uses: u64,
 }
 
+impl Entry {
+    /// Eviction rank under `replacement`: the resident with the smallest
+    /// `(rank, key)` is the victim.
+    fn rank(&self, replacement: Replacement) -> u64 {
+        match replacement {
+            // LIFO keeps early residents and evicts the newest arrival —
+            // that is what protects hot experts admitted early.
+            Replacement::Lifo => u64::MAX - self.inserted_at,
+            Replacement::Lfu => self.uses,
+            Replacement::Lru => self.last_used,
+        }
+    }
+}
+
 /// A fixed-capacity set of GPU-resident experts.
 ///
 /// `access` performs lookup + admission in one step, mirroring how the
 /// serving loop touches the cache: every fetched expert is admitted, evicting
 /// per the configured policy when full.
+///
+/// Residents live in a hash map for lookup and in an ordered victim index
+/// keyed by `(rank, key)`, so choosing a victim is the index's first element
+/// and every update is O(log n).
 ///
 /// # Example
 ///
@@ -71,7 +90,9 @@ struct Entry {
 pub struct ExpertCache {
     capacity: usize,
     replacement: Replacement,
-    entries: HashMap<ExpertKey, Entry>,
+    entries: HashMap<ExpertKey, Entry, IntBuildHasher>,
+    /// Every resident as `(rank, key)`; the first element is the victim.
+    victims: BTreeSet<(u64, ExpertKey)>,
     clock: u64,
     stats: CacheStats,
 }
@@ -82,7 +103,8 @@ impl ExpertCache {
         ExpertCache {
             capacity,
             replacement,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
+            victims: BTreeSet::new(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -136,8 +158,14 @@ impl ExpertCache {
             return false;
         }
         if let Some(e) = self.entries.get_mut(&key) {
+            let old = e.rank(self.replacement);
             e.last_used = self.clock;
             e.uses += 1;
+            let new = e.rank(self.replacement);
+            if new != old {
+                self.victims.remove(&(old, key));
+                self.victims.insert((new, key));
+            }
             self.stats.hits += 1;
             return true;
         }
@@ -150,11 +178,12 @@ impl ExpertCache {
                 .filter(|hint| *hint != key && self.entries.contains_key(hint))
                 .or_else(|| self.pick_victim());
             if let Some(victim) = victim {
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
+                self.evict(victim);
             }
         }
-        self.entries.insert(key, Entry { inserted_at: self.clock, last_used: self.clock, uses: 1 });
+        let entry = Entry { inserted_at: self.clock, last_used: self.clock, uses: 1 };
+        self.victims.insert((entry.rank(self.replacement), key));
+        self.entries.insert(key, entry);
         false
     }
 
@@ -167,43 +196,172 @@ impl ExpertCache {
         self.capacity = capacity;
         while self.entries.len() > self.capacity {
             match self.pick_victim() {
-                Some(victim) => {
-                    self.entries.remove(&victim);
-                    self.stats.evictions += 1;
-                }
+                Some(victim) => self.evict(victim),
                 None => break,
             }
         }
     }
 
-    /// The eviction candidate under the configured policy (ties broken by
-    /// key order for determinism).
+    /// The eviction candidate under the configured policy: the smallest
+    /// `(rank, key)`, so ties break by key order for determinism.
     fn pick_victim(&self) -> Option<ExpertKey> {
-        let best = |f: fn(&Entry) -> u64, prefer_large: bool| {
-            self.entries
-                .iter()
-                .min_by_key(|(k, e)| {
-                    let v = f(e);
-                    (if prefer_large { u64::MAX - v } else { v }, **k)
-                })
-                .map(|(k, _)| *k)
-        };
-        match self.replacement {
-            // LIFO keeps early residents and evicts the newest arrival —
-            // that is what protects hot experts admitted early.
-            Replacement::Lifo => best(|e| e.inserted_at, true),
-            Replacement::Lfu => best(|e| e.uses, false),
-            Replacement::Lru => best(|e| e.last_used, false),
-        }
+        self.victims.first().map(|&(_, key)| key)
+    }
+
+    /// Removes resident `key` from the map and the victim index.
+    fn evict(&mut self, key: ExpertKey) {
+        let e = self.entries.remove(&key).expect("evicting a non-resident expert");
+        self.victims.remove(&(e.rank(self.replacement), key));
+        self.stats.evictions += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn key(block: usize, expert: usize) -> ExpertKey {
         ExpertKey { block, expert }
+    }
+
+    /// The linear-scan cache the victim index replaced, kept verbatim as
+    /// the oracle the indexed cache must match operation for operation.
+    struct ScanCache {
+        capacity: usize,
+        replacement: Replacement,
+        entries: HashMap<ExpertKey, Entry>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl ScanCache {
+        fn new(capacity: usize, replacement: Replacement) -> Self {
+            ScanCache {
+                capacity,
+                replacement,
+                entries: HashMap::new(),
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access_with(
+            &mut self,
+            key: ExpertKey,
+            admit: bool,
+            evict_hint: Option<ExpertKey>,
+        ) -> bool {
+            self.clock += 1;
+            if self.capacity == 0 {
+                self.stats.misses += 1;
+                return false;
+            }
+            if let Some(e) = self.entries.get_mut(&key) {
+                e.last_used = self.clock;
+                e.uses += 1;
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            if !admit {
+                return false;
+            }
+            if self.entries.len() >= self.capacity {
+                let victim = evict_hint
+                    .filter(|hint| *hint != key && self.entries.contains_key(hint))
+                    .or_else(|| self.pick_victim());
+                if let Some(victim) = victim {
+                    self.entries.remove(&victim);
+                    self.stats.evictions += 1;
+                }
+            }
+            self.entries
+                .insert(key, Entry { inserted_at: self.clock, last_used: self.clock, uses: 1 });
+            false
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity;
+            while self.entries.len() > self.capacity {
+                match self.pick_victim() {
+                    Some(victim) => {
+                        self.entries.remove(&victim);
+                        self.stats.evictions += 1;
+                    }
+                    None => break,
+                }
+            }
+        }
+
+        fn pick_victim(&self) -> Option<ExpertKey> {
+            let best = |f: fn(&Entry) -> u64, prefer_large: bool| {
+                self.entries
+                    .iter()
+                    .min_by_key(|(k, e)| {
+                        let v = f(e);
+                        (if prefer_large { u64::MAX - v } else { v }, **k)
+                    })
+                    .map(|(k, _)| *k)
+            };
+            match self.replacement {
+                Replacement::Lifo => best(|e| e.inserted_at, true),
+                Replacement::Lfu => best(|e| e.uses, false),
+                Replacement::Lru => best(|e| e.last_used, false),
+            }
+        }
+    }
+
+    fn resident<S>(entries: &HashMap<ExpertKey, Entry, S>) -> Vec<ExpertKey> {
+        let mut keys: Vec<ExpertKey> = entries.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn victim_index_matches_linear_scan_oracle() {
+        // A small key space keeps LFU frequency ties common, so the
+        // `(rank, key)` tie-break decides many evictions.
+        for policy in Replacement::ALL {
+            for (seed, capacity) in [0usize, 1, 2, 3, 5, 8].into_iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(0xCAC4E ^ seed as u64);
+                let mut fast = ExpertCache::new(capacity, policy);
+                let mut slow = ScanCache::new(capacity, policy);
+                for step in 0..2000 {
+                    let k = key(rng.gen_range(0..2), rng.gen_range(0..6));
+                    if rng.gen_range(0..20) == 0 {
+                        let cap = rng.gen_range(0..=9);
+                        fast.set_capacity(cap);
+                        slow.set_capacity(cap);
+                    } else {
+                        let admit = rng.gen_range(0..5) != 0;
+                        let hint = match rng.gen_range(0..4) {
+                            0 => resident(&slow.entries).first().copied(),
+                            1 => Some(key(rng.gen_range(0..3), rng.gen_range(0..8))),
+                            _ => None,
+                        };
+                        assert_eq!(
+                            fast.access_with(k, admit, hint),
+                            slow.access_with(k, admit, hint),
+                            "{policy:?} start cap {capacity} step {step}: hit/miss"
+                        );
+                    }
+                    let ctx = format!("{policy:?} start cap {capacity} step {step}");
+                    assert_eq!(
+                        resident(&fast.entries),
+                        resident(&slow.entries),
+                        "{ctx}: residents"
+                    );
+                    assert_eq!(fast.stats(), slow.stats, "{ctx}: stats");
+                    assert_eq!(fast.pick_victim(), slow.pick_victim(), "{ctx}: victim");
+                    assert_eq!(fast.victims.len(), fast.entries.len(), "{ctx}: index size");
+                }
+                if capacity > 0 {
+                    assert!(fast.stats().evictions > 0, "{policy:?} cap {capacity}: no evictions");
+                }
+            }
+        }
     }
 
     #[test]

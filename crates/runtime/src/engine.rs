@@ -237,6 +237,7 @@ impl InferenceSim {
                 if first_token_time.is_none() {
                     first_token_time = Some(machine.horizon());
                 }
+                machine.retire_events();
             }
             ctx_len = request.input_tokens; // next request starts fresh
         }

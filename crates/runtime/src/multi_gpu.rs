@@ -352,6 +352,7 @@ pub fn simulate_expert_parallel(
             Some(&mut block_latencies),
             None,
         )?;
+        machine.retire_events();
     }
     debug_assert_eq!(demand_bytes, 0, "cluster experts never migrate");
 

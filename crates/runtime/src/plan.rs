@@ -168,15 +168,6 @@ pub enum PlanOp {
         /// MoE block index within the decoder.
         block: usize,
     },
-    /// Paged-KV block bookkeeping charged to simulated time: `blocks`
-    /// freshly allocated KV blocks and `cow_bytes` of copy-on-write block
-    /// copies (see `kv_append_duration` for the cost model).
-    KvAppend {
-        /// KV blocks newly allocated this iteration.
-        blocks: u64,
-        /// Bytes copied by copy-on-write forks this iteration.
-        cow_bytes: u64,
-    },
     /// Frees `count` transient expert buffers (replay folds every
     /// allocation and free into one peak-sized reservation).
     FreeBufs {
@@ -490,7 +481,7 @@ pub(crate) fn decode_iteration_planned(
 }
 
 // ---------------------------------------------------------------------
-// Replay VM
+// Paged-KV bookkeeping
 // ---------------------------------------------------------------------
 
 /// Simulated cost of paged-KV block bookkeeping: copy-on-write block copies
@@ -501,15 +492,21 @@ pub(crate) fn kv_append_duration(cost: &CostModel, blocks: u64, cow_bytes: u64) 
     SimDuration::from_nanos(copies.as_nanos() + blocks * cost.sync_overhead.as_nanos())
 }
 
-/// Executes a [`PlanOp::KvAppend`] charge directly (the paged session emits
-/// these outside the decode loop, once per chunked-prefill or token-append
-/// step).
+/// Charges paged-KV block bookkeeping ([`kv_append_duration`]) to the
+/// compute stream. The paged session calls this outside the decode loop,
+/// once per chunked-prefill or token-append step, when
+/// [`PagedKvConfig::timed_appends`](crate::kv::PagedKvConfig::timed_appends)
+/// is on.
 pub(crate) fn execute_kv_append(machine: &mut Machine, blocks: u64, cow_bytes: u64) {
     let dur = kv_append_duration(machine.cost(), blocks, cow_bytes);
     if dur > SimDuration::ZERO {
         machine.compute_op("kv-append", dur, &[]);
     }
 }
+
+// ---------------------------------------------------------------------
+// Replay VM
+// ---------------------------------------------------------------------
 
 /// Replays a compiled plan against the live machine.
 ///
@@ -607,13 +604,6 @@ fn replay(
                 }
             }
             PlanOp::FreeBufs { .. } | PlanOp::Dequant { .. } => {}
-            PlanOp::KvAppend { blocks, cow_bytes } => {
-                let dur = kv_append_duration(env.machine.cost(), *blocks, *cow_bytes);
-                if dur > SimDuration::ZERO {
-                    tail_c += dur;
-                    busy_c += dur;
-                }
-            }
         }
     }
     if let Some(id) = reservation {
@@ -677,9 +667,6 @@ impl PlanTrace {
                     )
                 }
                 PlanOp::Dequant { block } => format!("dequant b{block} (fused)"),
-                PlanOp::KvAppend { blocks, cow_bytes } => {
-                    format!("kv-append blocks={blocks} cow={cow_bytes}B")
-                }
                 PlanOp::FreeBufs { count } => format!("free x{count}"),
                 PlanOp::Latency { .. } => "latency-sample".to_string(),
             });

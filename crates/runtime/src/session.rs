@@ -819,6 +819,8 @@ impl BatchSession {
         // `timed_appends` charged something above.
         let tail = self.machine.horizon() - span_start;
         self.clock += tail.saturating_sub(span);
+        // No event outlives its iteration.
+        self.machine.retire_events();
         Ok(events)
     }
 
@@ -1415,6 +1417,46 @@ mod tests {
             "a cache-attached session must not compile plans"
         );
         assert_eq!(format!("{on:?}"), format!("{off:?}"), "plan-on must equal plan-off bitwise");
+    }
+
+    #[test]
+    fn events_never_outlive_their_step() {
+        use crate::{CacheConfig, Replacement};
+        // A paged, cached session with timed appends submits prefill,
+        // decode and KV-bookkeeping ops; none of their events may survive
+        // the step that created them, however long the session runs.
+        let opts = SimOptions::new(OffloadPolicy::Pregated)
+            .with_cache(CacheConfig::new(0.25, Replacement::Lru));
+        let batch = BatchConfig::new(8)
+            .with_paged_kv(PagedKvConfig::new(16).with_prefill_chunk(32).with_timed_appends());
+        let mut s = BatchSession::new(ModelConfig::switch_base(8), opts, batch).unwrap();
+        // The trace counts each step's submissions.
+        s.machine.set_trace_enabled(true);
+        let mut next_id = 0u64;
+        let mut busy_steps = 0;
+        for step in 0..1200 {
+            loop {
+                let arr = ArrivedRequest::at_nanos(
+                    0,
+                    req(8 + (next_id as usize * 7) % 40, 4 + next_id as usize % 13),
+                )
+                .with_shared_prefix(0xFEED, 16);
+                match s.try_admit(next_id, arr).unwrap() {
+                    Admission::Admitted { .. } => next_id += 1,
+                    _ => break,
+                }
+            }
+            assert_eq!(s.machine.engine_mut().live_events(), 0, "step {step}: admission");
+            s.machine.clear_trace();
+            s.step().unwrap();
+            let submitted = s.machine.trace().len();
+            let live = s.machine.engine_mut().live_events();
+            assert!(live <= submitted, "step {step}: {live} live events > {submitted} submitted");
+            busy_steps += usize::from(submitted > 0);
+        }
+        assert!(busy_steps >= 1000, "only {busy_steps} steps submitted work");
+        assert!(next_id > 100, "the session must cycle many requests, admitted {next_id}");
+        assert!(s.cache.as_ref().is_some_and(|c| c.stats().evictions > 0));
     }
 
     #[test]
